@@ -129,6 +129,12 @@ void LoadGen::Drain() {
   cv_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
+void LoadGen::AwaitReply() {
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::int64_t seen = replies_;
+  cv_.wait(lock, [&] { return replies_ != seen || in_flight_ == 0; });
+}
+
 void LoadGen::CollectLoop() {
   std::list<Pending> open;
   for (;;) {
@@ -175,6 +181,7 @@ void LoadGen::CollectLoop() {
       {
         std::lock_guard<std::mutex> lock(mu_);
         in_flight_ -= finished;
+        replies_ += finished;
       }
       cv_.notify_all();
     }

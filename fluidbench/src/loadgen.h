@@ -93,6 +93,9 @@ class LoadGen {
                std::uint64_t phase_span = 0);
   /// Wait until nothing is in flight.
   void Drain();
+  /// Wait for the next reply (returns at once if nothing is in flight).
+  /// Safe to call from another thread while a Run* call is sending.
+  void AwaitReply();
 
   static constexpr double kBurst = 1.6;
   static constexpr double kBurstPeriodMs = 200.0;
@@ -121,6 +124,7 @@ class LoadGen {
   std::condition_variable cv_;  // a completion, or new work for the collector
   std::vector<Pending> incoming_;
   std::int64_t in_flight_ = 0;
+  std::int64_t replies_ = 0;
   bool stop_ = false;
   std::thread collector_;
 };

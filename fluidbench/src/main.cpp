@@ -24,6 +24,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/buffer_pool.h"
@@ -88,11 +89,11 @@ Workload MakeWorkload(const std::string& name) {
     w.fleet.link = paper_link;
     w.fleet.batch.max_batch = 64;
     w.fleet.batch.max_delay = std::chrono::milliseconds(0);
-    w.main_share = 0.45;
-    w.cycles = 11;
-    w.pre = 200;
-    w.degraded = 1500;
-    w.recovered = 800;
+    w.main_share = 1.2;
+    w.cycles = 20;
+    w.pre = 150;
+    w.degraded = 1000;
+    w.recovered = 400;
   } else if (name == "ha_link_mixed") {
     w.fleet.mode = ServeMode::kHighAccuracy;
     w.fleet.partitions = 2;
@@ -108,10 +109,10 @@ Workload MakeWorkload(const std::string& name) {
     w.fleet.batch.max_active_reqs = 8192;
     w.traffic.multi_row_share = 0.05;
     w.open_loop = true;
-    w.cycles = 9;
+    w.cycles = 30;
     w.pre = 50;
-    w.degraded = 300;
-    w.recovered = 150;
+    w.degraded = 150;
+    w.recovered = 100;
   } else {
     std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
     std::exit(2);
@@ -253,14 +254,28 @@ double WindowedRate(const std::deque<Record>& recs, const Pass& pass,
   return Median(rates);
 }
 
-double CompletionsPerSecond(const std::deque<Record>& recs, std::int64_t t0,
-                            std::int64_t t1) {
-  if (t1 <= t0) return 0.0;
+std::int64_t Completions(const std::deque<Record>& recs, std::int64_t t0,
+                         std::int64_t t1) {
   std::int64_t n = 0;
   for (const Record& r : recs) {
     if (r.ok && r.done_ns >= t0 && r.done_ns < t1) ++n;
   }
-  return static_cast<double>(n) / (NsToMs(t1 - t0) * 1e-3);
+  return n;
+}
+
+/// Completions per second over windows [t0, t1) taken together. Per
+/// cycle, the closed-loop rates fall into two modes (full or split
+/// batches) about equally often, where a median over cycles flips between
+/// them.
+double PooledRate(const std::deque<Record>& recs,
+                  const std::vector<std::pair<std::int64_t, std::int64_t>>& windows) {
+  std::int64_t n = 0, ns = 0;
+  for (const auto& [t0, t1] : windows) {
+    if (t1 <= t0) continue;
+    n += Completions(recs, t0, t1);
+    ns += t1 - t0;
+  }
+  return ns > 0 ? static_cast<double>(n) / (NsToMs(ns) * 1e-3) : 0.0;
 }
 
 /// Longest gap between consecutive completions from the last one before
@@ -406,11 +421,21 @@ int Run(const Args& args) {
     {
       LoadGen warm(*fleet, inputs, args.seed + 1000 + static_cast<std::uint64_t>(i),
                    w.traffic, no_spans);
-      warm.RunClosed(kDepth, w.warmup, 0);
+      // In drained waves of kDepth: a closed loop started cold settles
+      // into full or split batches by chance, and the split mode took a
+      // third longer.
+      for (std::int64_t sent = 0; sent < w.warmup; sent += kDepth) {
+        warm.RunClosed(kDepth, kDepth, 0);
+        warm.Drain();
+      }
     }
     setup_s.push_back(NsToMs(NowNs() - t0) * 1e-3);
   }
 
+  // Peak resident set at the end of each phase, for the result file.
+  std::vector<std::pair<std::string, double>> rss_marks;
+  auto rss_mark = [&](const std::string& at) { rss_marks.emplace_back(at, PeakRssMb()); };
+  rss_mark("setup");
   LoadGen gen(*fleet, inputs, args.seed, w.traffic, spans);
   auto& recs = gen.records();
   const auto S = args.seconds;
@@ -430,6 +455,12 @@ int Run(const Args& args) {
                                 ClassHistogram("fluid_sched_service_ms", 2)});
   };
   std::size_t ref_pass = 0;
+  // Peak resident set through set-up and the measured pass. The later
+  // phases are left out. The backlog of the overloaded top rung follows
+  // how far the host falls behind the offered rate: read after the whole
+  // run, the peak spread by a third of its median between runs. The
+  // failover cycles added another 6-12 MiB that varied from run to run.
+  double peak_rss_mb = 0.0;
   std::int64_t main_start = 0, main_end = 0;
   fluid::obs::MetricsRegistry::Global().Reset();
   if (!ha) {
@@ -448,6 +479,8 @@ int Run(const Args& args) {
     main_start = p.start_ns;
     main_end = p.end_ns;
     passes.push_back(p);
+    peak_rss_mb = PeakRssMb();
+    rss_mark("main");
   } else {
     // Rate ladder; the middle rung is the reference rate.
     ref_pass = 1;
@@ -474,9 +507,11 @@ int Run(const Args& args) {
         read_histograms();
         main_start = p.start_ns;
         main_end = NowNs();
+        peak_rss_mb = PeakRssMb();
       }
       p.last = static_cast<std::int64_t>(recs.size());
       passes.push_back(p);
+      rss_mark(names[k]);
     }
   }
   // ---- failover cycles: crash every partition's worker, serve degraded,
@@ -498,11 +533,18 @@ int Run(const Args& args) {
         }
       };
       serve(w.pre);
-      cy.crash_ns = NowNs();
-      fleet->CrashWorkers();
-      cy.crashed_ns = NowNs();
-      spans.Add("phase.crash", cy.crash_ns, cy.crashed_ns, span.id());
+      // The crash comes right after a reply, from its own thread while
+      // traffic goes on, so the gap measured across it starts at the
+      // crash and not at a random time since the last reply.
+      std::thread crasher([&] {
+        gen.AwaitReply();
+        cy.crash_ns = NowNs();
+        fleet->CrashWorkers();
+        cy.crashed_ns = NowNs();
+      });
       serve(w.degraded);
+      crasher.join();
+      spans.Add("phase.crash", cy.crash_ns, cy.crashed_ns, span.id());
       cy.reattach_ns = NowNs();
       // Reattach on an idle fleet, so reattach_s is the re-deploy itself
       // and not a wait for the serving lock behind a chunk in service.
@@ -518,6 +560,7 @@ int Run(const Args& args) {
     }
   }
   const FleetCounters final_counters = fleet->Counters();
+  rss_mark("failover");
 
   // ---- replays (traced run only) -----------------------------------------
   const Summary main = Summarize(recs, passes[ref_pass]);
@@ -577,9 +620,12 @@ int Run(const Args& args) {
       ? static_cast<double>(check.agree_rows) / static_cast<double>(check.checked_rows)
       : 0.0;
   std::vector<double> degraded, recovered, stall, reattach;
+  std::vector<std::pair<std::int64_t, std::int64_t>> degraded_windows, recovered_windows;
   for (const Cycle& c : cycles) {
-    degraded.push_back(CompletionsPerSecond(recs, c.crashed_ns, c.reattach_ns));
-    recovered.push_back(CompletionsPerSecond(recs, c.reattached_ns, c.end_ns));
+    degraded.push_back(PooledRate(recs, {{c.crashed_ns, c.reattach_ns}}));
+    recovered.push_back(PooledRate(recs, {{c.reattached_ns, c.end_ns}}));
+    degraded_windows.emplace_back(c.crashed_ns, c.reattach_ns);
+    recovered_windows.emplace_back(c.reattached_ns, c.end_ns);
     stall.push_back(StallMs(recs, c));
     reattach.insert(reattach.end(), c.reattach_s.begin(), c.reattach_s.end());
   }
@@ -631,11 +677,11 @@ int Run(const Args& args) {
       {"slo_attainment", {main.slo_attainment, "fraction"}},
       {"max_rate_within_slo_rps", {max_rate, "req/s"}},
       {"delivered_share", {attempted > 0 ? 1.0 - static_cast<double>(failed) / static_cast<double>(attempted) : 0.0, "fraction"}},
-      {"degraded_rps", {Median(degraded), "req/s"}},
-      {"recovered_rps", {Median(recovered), "req/s"}},
+      {"degraded_rps", {PooledRate(recs, degraded_windows), "req/s"}},
+      {"recovered_rps", {PooledRate(recs, recovered_windows), "req/s"}},
       {"failover_stall_ms", {TrimmedMean(stall), "ms"}},
       {"reattach_s", {Median(reattach), "s"}},
-      {"peak_rss_mb", {PeakRssMb(), "MiB"}},
+      {"peak_rss_mb", {peak_rss_mb, "MiB"}},
       {"top1_agreement", {agreement, "fraction"}},
   };
 
@@ -710,6 +756,14 @@ int Run(const Args& args) {
       .Int("attempted", attempted).Int("failed", failed)
       .Raw("metrics", MetricsJson(args.trace ? per_layer : e2e));
   if (args.trace) result.Raw("end_to_end", MetricsJson(e2e));
+  {
+    JsonObject o;
+    for (const auto& [k, v] : rss_marks) o.Num(k, v);
+    result.Raw("peak_rss_mb_by_phase", o.Dump());
+    std::string arr = "[";
+    for (std::size_t i = 0; i < setup_s.size(); ++i) arr += (i ? ", " : "") + JsonNumber(setup_s[i]);
+    result.Raw("setup_runs_s", arr + "]");
+  }
   {
     JsonObject c;
     c.Int("checked_fp32_replies", check.exact_checked)
