@@ -1,7 +1,6 @@
 #include "dist/master.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "core/buffer_pool.h"
@@ -14,6 +13,12 @@ namespace fluid::dist {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Longest single wait the HA pipeline makes on the pool or the link while
+/// frames are in flight, and so the longest stretch it holds mu_ across a
+/// link wait: an arrival starts its front compute, or a delivered reply
+/// resolves, within one slice.
+constexpr std::chrono::milliseconds kPipelinePollSlice{1};
 
 /// Split a traced reply's observed round trip into pure link time: the
 /// worker echoed the master's send stamp (so rtt computes on the master's
@@ -356,40 +361,56 @@ void MasterNode::ServeActive(BatchScheduler& sched) {
 bool MasterNode::ServePipelineContinuous(BatchScheduler& sched) {
   // Iteration-level HA serving: each ha_chunk cut-activation frame is one
   // scheduling quantum, so frames from *different* requests share the
-  // ha_window in-flight window. Between frames the scheduler re-assembles
-  // — a new arrival's rows ride the next frame (its time-to-first-chunk
-  // excludes the residual service of the work ahead), and an expiring
-  // high-class request displaces queued lower-class rows.
+  // ha_window in-flight window. The loop never blocks on one frame's round
+  // trip: rows ship as soon as they are schedulable and the window has
+  // room (a new arrival's time-to-first-chunk excludes the residual
+  // service of the work ahead), each frame resolves on its own reply in
+  // the order replies arrive, and an expiring high-class request
+  // displaces queued lower-class rows at the next grab.
   const BatchOptions& opts = sched.options();
   const std::size_t window = std::max<std::size_t>(1, opts.ha_window);
   const std::size_t quantum = std::max<std::size_t>(1, opts.ha_chunk);
+  std::size_t w = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    w = plan_.back_worker;
+  }
 
   struct Flight {
-    std::int64_t seq = 0;
-    std::size_t worker = 0;
+    std::int64_t seq = 0;  // 0: never shipped (the pipeline broke first)
     BatchScheduler::WorkChunk chunk;
   };
-  std::deque<Flight> inflight;
-  bool broken = false;   // pipeline failed / mode flipped: stop refilling
-  bool drained = false;  // pool empty: serve out the window, then return
+  // Drain-thread scratch, reused across calls: a steady request stream
+  // allocates nothing here beyond each chunk's slice list.
+  thread_local std::vector<Flight> inflight;
+  thread_local std::vector<BatchScheduler::WorkChunk> fresh;
+  thread_local std::vector<Message> frames;
+  inflight.clear();
+  fresh.clear();
+  bool broken = false;  // pipeline condemned: re-serve the window, return
 
-  // Front-half forwards + one batched cut-activation send for a group of
-  // chunks: every frame the refill gathered goes out through SendBatch as
-  // one link transaction. A chunk that cannot ship (expired budget,
-  // pipeline no longer viable) fails over to the sharded path alone; a
-  // send failure makes the whole group suspect — all of it fails over,
-  // and `broken` bails out of the pipeline after the window drains.
-  auto ship_group = [&](std::vector<BatchScheduler::WorkChunk>&& chunks) {
-    std::vector<Message> frames;
-    std::vector<Flight> flights;
-    std::vector<BatchScheduler::WorkChunk> rejected;
-    core::Status send_st = core::Status::Ok();
+  // Front-half forwards + one batched cut-activation send for the chunks
+  // in `fresh`: every frame goes out through SendBatch as one link
+  // transaction. A chunk whose budget is already spent cannot ship (an
+  // RPC would time out at once and wrongly condemn a healthy worker): it
+  // fails over to the sharded path alone. A pipeline that stopped being
+  // viable ships nothing more, and a send error makes the whole group
+  // suspect; both break the pipeline, and the chunks join the window for
+  // abandon_window to re-serve.
+  auto ship_group = [&] {
+    std::size_t spent = 0;  // zero-budget chunks, compacted to the front
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const std::size_t w = plan_.back_worker;
-      for (BatchScheduler::WorkChunk& chunk : chunks) {
-        if (!HaViableLocked() || RemainingMs(chunk.deadline).count() == 0) {
-          rejected.push_back(std::move(chunk));
+      const std::size_t first = inflight.size();
+      frames.clear();
+      for (BatchScheduler::WorkChunk& chunk : fresh) {
+        if (broken || !HaViableLocked() || plan_.back_worker != w) {
+          broken = true;
+          inflight.push_back({0, std::move(chunk)});
+          continue;
+        }
+        if (RemainingMs(chunk.deadline).count() == 0) {
+          std::swap(fresh[spent++], chunk);  // self-swap safe; moves are not
           continue;
         }
         core::Tensor storage;
@@ -425,126 +446,179 @@ bool MasterNode::ServePipelineContinuous(BatchScheduler& sched) {
           frame.SetTrace(chunk.trace_id, chunk.trace_parent, obs::NowUs());
         }
         frames.push_back(std::move(frame));
-        flights.push_back({seq, w, std::move(chunk)});
+        inflight.push_back({seq, std::move(chunk)});
       }
       if (!frames.empty()) {
-        send_st = SendBatchLocked(
+        const core::Status st = SendBatchLocked(
             w, std::span<const Message>(frames.data(), frames.size()));
         for (Message& f : frames) RecycleMessage(std::move(f));
-        if (send_st.ok()) {
-          for (const Flight& fl : flights) {
+        for (std::size_t i = first; i < inflight.size(); ++i) {
+          const Flight& fl = inflight[i];
+          if (fl.seq == 0) continue;
+          if (st.ok()) {
             ++stats_.batches;
             stats_.coalesced_samples += fl.chunk.rows;
-          }
-        } else {
-          for (const Flight& fl : flights) {
+          } else {
             workers_[w].pending.erase(fl.seq);
             ++stats_.failovers;
           }
         }
+        if (!st.ok()) broken = true;
       }
     }
-    if (send_st.ok()) {
-      for (Flight& fl : flights) inflight.push_back(std::move(fl));
-    } else {
-      broken = true;
-      for (Flight& fl : flights) ServeChunkSharded(sched, fl.chunk);
-    }
-    for (BatchScheduler::WorkChunk& chunk : rejected) {
-      broken = true;
+    fresh.resize(spent);
+    if (broken) return;  // abandon_window re-serves the spent chunks too
+    for (BatchScheduler::WorkChunk& chunk : fresh) {
       ServeChunkSharded(sched, chunk);
     }
+    fresh.clear();
   };
 
-  // Await the oldest in-flight frame and resolve its rows; a bad reply
-  // fails the *frame* over to the sharded path — the requests behind it
-  // live on in the pool, untouched.
-  auto await_oldest = [&] {
-    Flight fl = std::move(inflight.front());
-    inflight.pop_front();
+  // Read the back worker's replies in arrival order and resolve each
+  // frame on its own reply, matched by seq against the window. `wait`
+  // bounds the first read (at most one poll slice, so mu_ is never held
+  // across a longer wait); later reads only take what the link has
+  // already delivered. A bad reply fails the pipeline at once: replies
+  // behind it stay unread, and once abandon_window has deregistered
+  // their seqs they take the counted stale-drop path.
+  auto reap = [&](std::chrono::milliseconds wait) {
+    std::lock_guard<std::mutex> lock(mu_);
+    WorkerHandle& handle = workers_[w];
+    // Mode flip, plan change, or the worker condemned (and perhaps
+    // revived on a fresh link) by another thread: the window's seqs are
+    // gone from `pending`, so no reply will ever resolve them here.
+    if (!HaViableLocked() || plan_.back_worker != w ||
+        handle.pending.count(inflight.front().seq) == 0) {
+      broken = true;
+      return;
+    }
     core::Status st = core::Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const std::size_t w = fl.worker;
-      auto got = AwaitReplyLocked(w, fl.seq, fl.chunk.deadline);
-      if (!got.ok()) {
-        st = got.status();
-      } else if (!WellFormedResult(*got, fl.chunk.rows) ||
-                 got->payload.numel() !=
-                     fl.chunk.rows * config_.num_classes) {
+    bool bad_reply = false;
+    while (!inflight.empty()) {
+      Message reply;
+      if (!handle.reply_buffer.empty()) {
+        // Parked by another thread's RPC (a heartbeat) that read past it.
+        reply = std::move(handle.reply_buffer.begin()->second);
+        handle.reply_buffer.erase(handle.reply_buffer.begin());
+      } else {
+        st = handle.transport->Recv(reply, wait);
+        wait = std::chrono::milliseconds(0);
+        if (st.code() == core::StatusCode::kDeadlineExceeded) {
+          st = core::Status::Ok();
+          break;  // nothing more has arrived
+        }
+        if (!st.ok()) break;  // peer death or stream corruption
+      }
+      if (reply.type == MsgType::kHello) {
+        handle.name = reply.tag;
+        continue;
+      }
+      const auto fl = std::find_if(
+          inflight.begin(), inflight.end(),
+          [&](const Flight& f) { return f.seq == reply.seq; });
+      if (fl == inflight.end()) {
+        ++stats_.stale_replies;
+        FLUID_LOG(Warn)
+                .With("event", "stale_reply")
+                .With("worker", w)
+                .With("seq", reply.seq)
+                .With("type", MsgTypeName(reply.type))
+            << "master: dropping stale reply";
+        continue;
+      }
+      handle.pending.erase(reply.seq);
+      if (!WellFormedResult(reply, fl->chunk.rows) ||
+          reply.payload.numel() != fl->chunk.rows * config_.num_classes) {
+        // The flight stays in the window: abandon_window re-serves it.
+        bad_reply = true;
         st = core::Status::Internal(
             "worker[" + std::to_string(w) + "]: " +
-            (got->type == MsgType::kError
-                 ? "back half failed: " + got->tag
+            (reply.type == MsgType::kError
+                 ? "back half failed: " + reply.tag
                  : "malformed pipeline chunk result"));
-      } else {
-        stats_.served_pipeline += fl.chunk.rows;
-        RecordWireReply(*got,
-                        wire_ms_[static_cast<std::size_t>(fl.chunk.top)]);
-        // Resolve under mu_: the cached pipeline label is guarded by it,
-        // and the scheduler lock only ever nests inside mu_.
-        sched.CompleteChunk(fl.chunk, got->payload, label_pipeline_);
-        RecycleMessage(std::move(*got));
-        return;
+        break;
       }
-      ++stats_.failovers;
-      FLUID_LOG(Warn) << "master: pipeline chunk failed (" << st.ToString()
-                      << "), failing over to standalone";
+      stats_.served_pipeline += fl->chunk.rows;
+      RecordWireReply(reply,
+                      wire_ms_[static_cast<std::size_t>(fl->chunk.top)]);
+      // Resolve under mu_: the cached pipeline label is guarded by it,
+      // and the scheduler lock only ever nests inside mu_.
+      sched.CompleteChunk(fl->chunk, reply.payload, label_pipeline_);
+      RecycleMessage(std::move(reply));
+      inflight.erase(fl);
     }
+    if (st.ok()) {
+      // An in-window timeout: a frame shipped with budget left and went
+      // unanswered past its deadline.
+      const auto now = Clock::now();
+      for (const Flight& f : inflight) {
+        if (f.chunk.deadline <= now) {
+          st = core::Status::DeadlineExceeded(
+              "worker[" + std::to_string(w) +
+              "] left a pipeline frame unanswered past its deadline");
+          break;
+        }
+      }
+      if (st.ok()) return;
+    }
+    // Peer death, stream corruption and an in-window timeout mean this
+    // worker cannot be trusted to answer; a bad reply condemns only the
+    // pipeline (the worker may still serve its standalone slice).
+    if (!bad_reply) MarkDeadLocked(w, st);
+    ++stats_.failovers;
+    FLUID_LOG(Warn) << "master: pipeline chunk failed (" << st.ToString()
+                    << "), failing over to standalone";
     broken = true;
-    ServeChunkSharded(sched, fl.chunk);
   };
 
-  // A frame just failed (send error, bad reply, or the pipeline stopped
-  // being viable): the back half is suspect, so the rest of the window is
-  // not trusted either. Deregister each outstanding seq — a late reply
-  // takes the bounded, counted stale-drop path instead of a permanent
-  // reply-buffer slot — and re-serve those rows through the standalone
-  // fan-out. Failover granularity stays the frame: rows never ride a
-  // reply from a peer that already misbehaved.
+  // The pipeline broke (send error, bad reply, dead link, in-window
+  // timeout, or it stopped being viable): the back half is suspect, so the
+  // rest of the window is not trusted either. Deregister each outstanding
+  // seq — a late reply takes the bounded, counted stale-drop path instead
+  // of a permanent reply-buffer slot — then re-serve those rows through
+  // the standalone fan-out. Failover granularity stays the frame: rows
+  // never ride a reply from a peer that already misbehaved.
   auto abandon_window = [&] {
-    if (inflight.empty()) return;
-    std::deque<Flight> orphans;
-    orphans.swap(inflight);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const Flight& fl : orphans) {
-        workers_[fl.worker].pending.erase(fl.seq);
-        workers_[fl.worker].reply_buffer.erase(fl.seq);
+      for (const Flight& fl : inflight) {
+        workers_[w].pending.erase(fl.seq);
+        workers_[w].reply_buffer.erase(fl.seq);
       }
     }
-    for (Flight& fl : orphans) ServeChunkSharded(sched, fl.chunk);
+    for (Flight& fl : inflight) ServeChunkSharded(sched, fl.chunk);
+    for (BatchScheduler::WorkChunk& chunk : fresh) {
+      ServeChunkSharded(sched, chunk);
+    }
+    inflight.clear();
+    fresh.clear();
   };
 
   for (;;) {
-    // Refill the window: non-blocking grabs while frames are in flight (a
-    // refill must not stall the link), a short blocking grab only when
-    // the link sits idle. Everything gathered in one refill ships as one
-    // batched send — under backlog the whole window goes out together.
-    std::vector<BatchScheduler::WorkChunk> fresh;
-    while (!broken && !drained && inflight.size() + fresh.size() < window) {
+    // Refill: every chunk the window has room for, in one batched send.
+    // Only an idle link blocks the grab (one poll slice, plus the
+    // max_delay straggler window); with frames in flight it never waits.
+    while (!broken && inflight.size() + fresh.size() < window) {
       BatchScheduler::WorkChunk chunk;
-      const auto wait = (inflight.empty() && fresh.empty())
-                            ? std::chrono::milliseconds(1)
+      const auto wait = inflight.empty() && fresh.empty()
+                            ? kPipelinePollSlice
                             : std::chrono::milliseconds(0);
-      if (!sched.NextChunk(quantum, wait, chunk)) {
-        drained = true;
-        break;
-      }
+      if (!sched.NextChunk(quantum, wait, chunk)) break;
       fresh.push_back(std::move(chunk));
     }
-    if (!fresh.empty()) ship_group(std::move(fresh));
-    if (broken) {
-      abandon_window();
-      return true;
-    }
+    if (!fresh.empty()) ship_group();
+    if (broken) break;
     if (inflight.empty()) return false;  // pool drained, window served out
-    await_oldest();
-    if (broken) {
-      abandon_window();
-      return true;
-    }
+    // With room in the window, idle on the pool (mu_ free for the control
+    // plane) and then poll the link; a full window, or a stopping pool,
+    // waits on the link alone, one slice at a time.
+    const bool room = inflight.size() < window &&
+                      sched.WaitForWork(kPipelinePollSlice);
+    reap(room ? std::chrono::milliseconds(0) : kPipelinePollSlice);
+    if (broken) break;
   }
+  abandon_window();
+  return true;
 }
 
 void MasterNode::ServeChunkSharded(BatchScheduler& sched,

@@ -6,13 +6,17 @@
 // the pipeline front) and talks to one or more WorkerNodes over Transports.
 // Request routing implements the paper's two modes, batch-first:
 //
-//   HighAccuracy  — pipeline: run the front half locally on the coalesced
-//                   batch, ship cut activations to the worker hosting the
-//                   back half in `ha_chunk`-sample frames with up to
-//                   `ha_window` frames in flight — front compute of chunk
-//                   k+1 overlaps the link and the worker's back compute of
-//                   chunk k (the overlapped schedule sim/pipeline_sim
-//                   models). Full-width accuracy, link-bound throughput.
+//   HighAccuracy  — pipeline: run the front half locally, ship cut
+//                   activations to the worker hosting the back half in
+//                   `ha_chunk`-sample frames with up to `ha_window` frames
+//                   in flight — front compute of one frame overlaps the
+//                   link and the worker's back compute of the frames ahead
+//                   (the overlapped schedule sim/pipeline_sim models). The
+//                   sender never waits out a frame's round trip: a frame
+//                   ships as soon as rows are schedulable and the window
+//                   has room, and each frame resolves on its own reply in
+//                   the order replies arrive. Full-width accuracy,
+//                   link-bound throughput.
 //   HighThroughput — fan-out: the coalesced batch is sharded across every
 //                   live device hosting a self-sufficient slice (master
 //                   included); remote shards ship first so worker compute
@@ -25,24 +29,28 @@
 // across requests by class and deadline — and serves them continuously:
 // in HA mode each `ha_chunk` cut-activation frame is a scheduling
 // quantum, so frames from different requests share the `ha_window`
-// in-flight window, new arrivals splice in at the next frame boundary
-// (their time-to-first-chunk excludes the residual service of whatever
-// was ahead), and an expiring high-class request preempts queued
-// lower-class rows at frame granularity. The fused forward is bitwise
-// deterministic per sample, so any chunk grouping yields results
-// identical to serving each request alone. The blocking Infer shim rides
-// the same path.
+// in-flight window, a new arrival ships in its own frame while older
+// frames are still on the link (its time-to-first-chunk excludes the
+// residual service of whatever was ahead), and an expiring high-class
+// request preempts queued lower-class rows at frame granularity. The
+// fused forward is bitwise deterministic per sample, so any chunk
+// grouping yields results identical to serving each request alone. The
+// blocking Infer shim rides the same path.
 //
 // Failover (paper Fig. 1b): any transport-level failure marks that worker
-// dead and its whole shard (HT) or the whole batch (HA pipeline) is
+// dead and its whole shard (HT) or every frame in the HA window is
 // re-served from the surviving devices in the same serve pass — callers
 // never see a worker death. A crashed worker can later be revived with
 // ReattachWorker, which re-deploys everything it hosted.
 //
 // Thread safety: the node is internally locked — InferAsync/Infer may be
 // called from any number of client threads while the orchestrator probes
-// and redeploys. One mutex serializes the serving core; concurrency comes
-// from batching, not from concurrent forwards.
+// and redeploys. One mutex (mu_) serializes the serving core; concurrency
+// comes from batching, not from concurrent forwards. The HA drain loop
+// does not hold mu_ across link waits: it idles on the request pool
+// without it, and holds it across at most one short poll slice of the
+// link, so stats(), SetMode() and ProbeWorkers() stay reachable while
+// frames are in flight.
 
 #include <atomic>
 #include <chrono>
@@ -227,8 +235,10 @@ class MasterNode {
     std::vector<Deployment> deployments;
     /// Correlation ids of RPCs currently in flight on this link.
     std::set<std::int64_t> pending;
-    /// Replies that arrived for a pending seq other than the one being
-    /// awaited (out-of-order delivery under windowed sends).
+    /// Replies AwaitReplyLocked read for a pending seq other than the one
+    /// it awaited (out-of-order shard replies; HA frame replies a heartbeat
+    /// read past). The HA reply loop matches its own reads against its
+    /// window and only drains what others parked here.
     std::map<std::int64_t, Message> reply_buffer;
   };
 
@@ -294,9 +304,10 @@ class MasterNode {
   /// each by mode, until the pool has nothing schedulable.
   void ServeActive(BatchScheduler& sched);
   /// Iteration-level HA serving: ha_chunk frames as scheduling quanta
-  /// sharing the ha_window in-flight window. Returns false when the pool
-  /// drained (return to the drain loop), true when the pipeline broke or
-  /// the mode changed (caller re-checks and re-routes).
+  /// sharing the ha_window in-flight window, shipped without waiting and
+  /// resolved in reply-arrival order. Returns false when the pool drained
+  /// (return to the drain loop), true when the pipeline broke or stopped
+  /// being viable (caller re-checks and re-routes).
   bool ServePipelineContinuous(BatchScheduler& sched);
   /// Serve one chunk via the standalone fan-out (HT mode and the
   /// failover target for broken pipeline frames) and resolve its rows.

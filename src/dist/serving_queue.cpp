@@ -274,6 +274,13 @@ bool BatchScheduler::NextChunk(std::size_t max_samples,
   return true;
 }
 
+bool BatchScheduler::WaitForWork(std::chrono::milliseconds wait) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait_until(lock, Clock::now() + wait,
+                 [&] { return stop_ || HasBacklogLocked(); });
+  return !stop_;
+}
+
 void BatchScheduler::ExpireReadyLocked(Clock::time_point now) {
   // READY requests past their deadline fail instead of wasting service;
   // the lists are deadline-ordered, so expiry is a prefix scan. (A

@@ -107,8 +107,9 @@ struct BatchOptions {
   /// the link and let arrivals/preemption cut in sooner, at more
   /// per-frame overhead.
   std::size_t ha_chunk = 8;
-  /// HighAccuracy pipeline: cut-activation frames in flight on the link
-  /// before the sender waits for a result. 1 = store-and-forward.
+  /// HighAccuracy pipeline: cut-activation frames in flight on the link.
+  /// The sender waits for a result only when the window is full; with
+  /// room it ships new rows at once. 1 = store-and-forward.
   std::size_t ha_window = 2;
 };
 
@@ -264,6 +265,12 @@ class BatchScheduler {
   /// empty chunk.
   bool NextChunk(std::size_t max_samples, std::chrono::milliseconds wait,
                  WorkChunk& chunk);
+
+  /// Wait up to `wait` for schedulable work without taking any, and
+  /// without the straggler window: a serve side with frames in flight
+  /// idles here, then grabs with NextChunk(wait == 0) so new rows ship
+  /// the moment they arrive. Returns false once the scheduler is stopping.
+  bool WaitForWork(std::chrono::milliseconds wait);
 
   /// Resolve `rows` rows of `slice` starting at `offset` (slice-relative)
   /// with `logits` (row-major, `classes` floats per row). Records

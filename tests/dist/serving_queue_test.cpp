@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1248,9 +1252,23 @@ TEST(ByzantineWorkerTest, MisconfiguredLocalHeadAbandonsInFlightShards) {
   master.SetMode(sim::Mode::kHighThroughput);
 
   core::Rng rng(22);
+  const std::int64_t sent_before = worker->wire_stats().frames_sent;
   auto reply = master.Infer(Sample(rng, 2), 2000ms);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), core::StatusCode::kInternal);
+
+  // The worker serves control frames ahead of queued shards, so a
+  // heartbeat that reaches it while the abandoned shard is still queued
+  // there is acked first, and the probe never reads the shard's reply.
+  // Wait for the ordering event instead: the worker has sent that reply,
+  // so it is on the link ahead of any heartbeat ack. (The bound only keeps
+  // a failing run from hanging.)
+  for (const auto t0 = std::chrono::steady_clock::now();
+       worker->wire_stats().frames_sent == sent_before &&
+       std::chrono::steady_clock::now() - t0 < 10s;) {
+    std::this_thread::yield();
+  }
+  ASSERT_GT(worker->wire_stats().frames_sent, sent_before);
 
   // The link stays healthy; the heartbeat drains the abandoned shard's
   // reply as a counted stale drop instead of leaking it.
@@ -1322,6 +1340,208 @@ TEST(ByzantineWorkerTest, PipelineChunkClassMismatchFailsOverToResident) {
   master.StopServing();
   stop = true;
   scripted.join();
+}
+
+
+// ---------------------------------------------------------------------------
+// Non-blocking HA pipeline: the drain thread ships new rows while older
+// frames are in flight and resolves each frame on its own reply, in the
+// order replies arrive. A scripted back half holds every reply until the
+// test releases it and logs frame arrivals and replies as they happen, so
+// these tests assert on the order of events alone.
+// ---------------------------------------------------------------------------
+
+class HeldBackHalf {
+ public:
+  explicit HeldBackHalf(TransportPtr end)
+      : end_(std::move(end)), thread_([this] { Run(); }) {}
+
+  ~HeldBackHalf() {
+    stop_ = true;
+    thread_.join();
+    end_->Close();
+  }
+
+  /// Wait until `n` cut frames have arrived. The bound only keeps a
+  /// failing run from hanging; nothing asserts on elapsed time.
+  bool AwaitFrames(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, 10s, [&] { return frames_.size() >= n; });
+  }
+
+  /// Answer the `i`-th cut frame to arrive.
+  void Release(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_.push_back(i);
+  }
+
+  /// Answer every frame, held or still to come.
+  void ReleaseAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    release_all_ = true;
+  }
+
+  /// "frame i" when the i-th cut frame arrived, "reply i" when its reply
+  /// went out, in the order both happened.
+  std::vector<std::string> Events() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_;
+  }
+
+ private:
+  void Run() {
+    while (!stop_) {
+      Message msg;
+      if (end_->Recv(msg, 1ms).ok()) {
+        if (msg.type == MsgType::kInfer) {
+          std::lock_guard<std::mutex> lock(mu_);
+          events_.push_back("frame " + std::to_string(frames_.size()));
+          frames_.push_back(std::move(msg));
+          answered_.push_back(false);
+          cv_.notify_all();
+        } else if (msg.type == MsgType::kDeploy ||
+                   msg.type == MsgType::kHeartbeat) {
+          (void)end_->Send(Message::HeaderOnly(MsgType::kAck, msg.seq));
+        }
+      }
+      std::vector<Message> replies;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (std::size_t i = 0; i < frames_.size(); ++i) {
+          const bool released =
+              release_all_ || std::find(released_.begin(), released_.end(),
+                                        i) != released_.end();
+          if (answered_[i] || !released) continue;
+          answered_[i] = true;
+          events_.push_back("reply " + std::to_string(i));
+          const std::int64_t rows = frames_[i].payload.shape()[0];
+          replies.push_back(Message::WithBatch(MsgType::kResult,
+                                               frames_[i].seq, frames_[i].tag,
+                                               core::Tensor({rows, 10})));
+        }
+      }
+      for (const Message& reply : replies) (void)end_->Send(reply);
+    }
+  }
+
+  TransportPtr end_;
+  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Message> frames_;
+  std::vector<bool> answered_;
+  std::vector<std::size_t> released_;
+  bool release_all_ = false;
+  std::vector<std::string> events_;
+  std::thread thread_;
+};
+
+// Master with the HA pipeline's back half on a HeldBackHalf (room for four
+// frames in flight) and lower50 resident as the failover target.
+class NonBlockingPipelineTest : public ::testing::Test {
+ protected:
+  NonBlockingPipelineTest()
+      : fluid_(slim::FluidModel::PaperDefault(7)), master_(cfg_), rng_(41) {
+    auto [master_end, worker_end] = MakeInMemoryPair();
+    master_.AttachWorker(std::move(master_end));
+    back_ = std::make_unique<HeldBackHalf>(std::move(worker_end));
+  }
+
+  ~NonBlockingPipelineTest() override {
+    back_->ReleaseAll();
+    master_.StopServing();
+    back_.reset();
+  }
+
+  void SetUp() override {
+    nn::Sequential combined = fluid_.ExtractSubnet(fluid_.family().Combined());
+    auto halves =
+        train::SplitConvNet(cfg_, fluid_.family().max_width(), combined, 2);
+    master_.DeployLocal("front", std::move(halves.front));
+    master_.DeployLocal("lower50",
+                        fluid_.ExtractSubnet(fluid_.family().MasterResident()));
+    ASSERT_TRUE(master_
+                    .DeployToWorker("back",
+                                    ModelBlueprint::PipelineBack(
+                                        cfg_, fluid_.family().max_width(), 2),
+                                    nn::ExtractState(halves.back))
+                    .ok());
+    master_.SetPlan({"lower50", "", "front", "back", 0});
+    master_.SetMode(sim::Mode::kHighAccuracy);
+    BatchOptions opts;
+    opts.max_batch = 4;
+    opts.max_delay = 0ms;
+    opts.ha_chunk = 2;
+    opts.ha_window = 4;
+    master_.StartServing(opts);
+  }
+
+  static constexpr const char* kPipeline = "pipeline:front+back@worker[0]";
+
+  slim::FluidNetConfig cfg_;
+  slim::FluidModel fluid_;
+  MasterNode master_;
+  core::Rng rng_;
+  std::unique_ptr<HeldBackHalf> back_;
+};
+
+TEST_F(NonBlockingPipelineTest, NewArrivalShipsWhileAnOlderReplyIsHeld) {
+  auto older = master_.InferAsync(Sample(rng_), 30000ms);
+  ASSERT_TRUE(back_->AwaitFrames(1));
+  auto newer = master_.InferAsync(Sample(rng_), 30000ms);
+  // The newer request's cut frame reaches the worker before the older
+  // frame's reply is released: its front compute never waits out another
+  // frame's round trip.
+  ASSERT_TRUE(back_->AwaitFrames(2));
+  EXPECT_EQ(back_->Events(),
+            (std::vector<std::string>{"frame 0", "frame 1"}));
+  back_->ReleaseAll();
+  auto ro = older.get();
+  auto rn = newer.get();
+  ASSERT_TRUE(ro.ok()) << ro.status().ToString();
+  ASSERT_TRUE(rn.ok()) << rn.status().ToString();
+  EXPECT_EQ(ro->served_by, kPipeline);
+  EXPECT_EQ(rn->served_by, kPipeline);
+  EXPECT_EQ(master_.stats().failovers, 0);
+}
+
+TEST_F(NonBlockingPipelineTest, RepliesResolveInArrivalOrder) {
+  auto older = master_.InferAsync(Sample(rng_), 30000ms);
+  ASSERT_TRUE(back_->AwaitFrames(1));
+  auto newer = master_.InferAsync(Sample(rng_), 30000ms);
+  ASSERT_TRUE(back_->AwaitFrames(2));
+  // The worker answers the newer frame first: that reply alone resolves
+  // the newer request while the older one's reply is still held.
+  back_->Release(1);
+  auto rn = newer.get();
+  ASSERT_TRUE(rn.ok()) << rn.status().ToString();
+  EXPECT_EQ(rn->served_by, kPipeline);
+  EXPECT_EQ(older.wait_for(0s), std::future_status::timeout);
+  EXPECT_EQ(back_->Events(),
+            (std::vector<std::string>{"frame 0", "frame 1", "reply 1"}));
+  back_->Release(0);
+  auto ro = older.get();
+  ASSERT_TRUE(ro.ok()) << ro.status().ToString();
+  EXPECT_EQ(ro->served_by, kPipeline);
+  EXPECT_EQ(master_.stats().failovers, 0);
+  EXPECT_EQ(master_.stats().stale_replies, 0);
+}
+
+TEST_F(NonBlockingPipelineTest, ControlPlaneStaysReachableWhileAReplyIsHeld) {
+  auto held = master_.InferAsync(Sample(rng_), 5000ms);
+  ASSERT_TRUE(back_->AwaitFrames(1));
+  // Neither call may wait on the serving-core lock until the held frame's
+  // deadline condemns the worker.
+  (void)master_.stats();
+  master_.SetMode(sim::Mode::kHighAccuracy);
+  EXPECT_EQ(back_->Events(), (std::vector<std::string>{"frame 0"}));
+  EXPECT_TRUE(master_.WorkerAlive(0));
+  EXPECT_EQ(held.wait_for(0s), std::future_status::timeout);
+  back_->ReleaseAll();
+  auto reply = held.get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->served_by, kPipeline);
+  EXPECT_EQ(master_.stats().failovers, 0);
 }
 
 }  // namespace
